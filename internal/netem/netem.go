@@ -12,12 +12,16 @@
 // with the route epoch its path was resolved at, re-resolves the
 // remaining path from the packet's current node when the epoch
 // advances, and drops packets that would traverse a failed link or
-// whose destination became unreachable. On a static topology all of
-// this reduces to one integer comparison per hop and forwarding is
+// whose destination became unreachable. Each link direction keeps its
+// own copy of the link state a hop reads, re-copied when the graph's
+// link-state version advances. On a static topology all of this
+// reduces to two integer comparisons per hop and forwarding is
 // byte-identical to a fully memoized emulator.
 package netem
 
 import (
+	"unsafe"
+
 	"bullet/internal/arena"
 	"bullet/internal/sim"
 	"bullet/internal/topology"
@@ -68,12 +72,14 @@ type Config struct {
 	QueueDelayLimit sim.Duration
 }
 
+// dirState is one link direction: its transmit queue, and copies of
+// the link fields a hop reads (capacity, delay, loss, up/down, far
+// end), so a hop touches this record and nothing else of the topology.
+// The copies follow the graph's link-state version (see syncLinks).
+// Keep it within one 64-byte cache line.
 type dirState struct {
 	busyUntil sim.Time
 	bytes     uint64
-	drops     uint64 // congestion drops
-	lossDrops uint64 // random loss drops
-	packets   uint64
 	// draws counts the random numbers consumed by this link direction
 	// (RED early drop, random loss). Each draw is a pure function of
 	// (seed, direction, draw index), so the loss pattern a direction
@@ -83,6 +89,12 @@ type dirState struct {
 	// direction's traversals happen in the same relative order on its
 	// owning shard as they do serially.
 	draws uint64
+
+	rate  float64 // Link.Bytes: capacity, bytes/second
+	delay sim.Duration
+	loss  float64
+	to    int32 // the node this direction leads to
+	down  bool
 }
 
 // inflight is the pooled per-packet forwarding state. The routed path
@@ -93,12 +105,18 @@ type dirState struct {
 // packet is in flight (a scenario failed a link, healed a partition,
 // ...), the next hop re-resolves the remaining path from the packet's
 // current node.
+//
+// The packet's next hop event is the embedded ev, so scheduling a hop
+// needs no engine-side body: ev must stay the first field (hopEvent
+// recovers the inflight from it), and the fields every hop reads
+// follow it on the same cache line, ahead of the Packet.
 type inflight struct {
-	pkt   Packet
+	ev    sim.Event
 	path  []int32 // link ids, traversal order; owned by the router cache
-	i     int     // next path index to traverse
-	cur   int     // current node
+	i     int32   // next path index to traverse
+	cur   int32   // current node
 	epoch uint64  // route epoch path was resolved at
+	pkt   Packet
 }
 
 // shardCtx is the mutable per-shard forwarding state. In a serial run
@@ -153,18 +171,24 @@ type handoff struct {
 
 // Network emulates the physical topology for registered participants.
 type Network struct {
-	eng      *sim.Engine
-	g        *topology.Graph
-	rt       *topology.Router
-	cfg      Config
-	dirs     []dirState // 2*linkID + direction
-	handlers []Handler  // indexed by node id
-	lossSeed uint64     // keys the per-direction draw streams
+	eng     *sim.Engine
+	g       *topology.Graph
+	rt      *topology.Router
+	cfg     Config
+	dirs    []dirState // 2*linkID + direction
+	linkVer uint64     // graph link-state version the dirs copies are at
+	// linkB holds each link's B end: a hop leaving from it takes
+	// direction 1. Four bytes a link keep the pick off the direction
+	// records, so a hop reads only the record it uses.
+	linkB    []int32
+	handlers []Handler // indexed by node id
+	lossSeed uint64    // keys the per-direction draw streams
 
-	// hopFn is the single reusable callback for hop events; paired with
-	// the inflight free lists it makes steady-state forwarding
-	// allocation-free (one event per hop, zero heap allocations).
-	hopFn func(any)
+	// hopFn is the single reusable callback for hop events; with the
+	// event embedded in the pooled inflight it makes steady-state
+	// forwarding allocation-free (one event per hop, zero heap
+	// allocations, no engine-side event body).
+	hopFn func(*sim.Event)
 
 	ctxs []shardCtx // len 1 serial; one per shard when sharded
 
@@ -200,12 +224,33 @@ func New(eng *sim.Engine, g *topology.Graph, rt *topology.Router, cfg Config) *N
 		rt:       rt,
 		cfg:      cfg,
 		dirs:     make([]dirState, 2*len(g.Links)),
+		linkB:    make([]int32, len(g.Links)),
 		handlers: make([]Handler, len(g.Nodes)),
 		lossSeed: mix64(uint64(eng.Seed()) ^ 0x6e65746d),
 		ctxs:     make([]shardCtx, 1),
 	}
-	n.hopFn = func(a any) { n.hop(a.(*inflight)) }
+	n.hopFn = n.hopEvent
+	n.syncLinks()
 	return n
+}
+
+// hopEvent is the hop callback: the event is the first field of its
+// inflight, so the two share an address.
+func (n *Network) hopEvent(ev *sim.Event) { n.hop((*inflight)(unsafe.Pointer(ev))) }
+
+// syncLinks refreshes every direction's copy of its link's state (and
+// linkB) and records the graph version it is current at. It must only run while
+// no shard goroutine can be forwarding: in serial runs, and in the
+// single-threaded phases of sharded runs.
+func (n *Network) syncLinks() {
+	for i := range n.g.Links {
+		l := &n.g.Links[i]
+		ab, ba := &n.dirs[2*i], &n.dirs[2*i+1]
+		ab.rate, ab.delay, ab.loss, ab.down, ab.to = l.Bytes, l.Delay, l.Loss, l.Down, int32(l.B)
+		ba.rate, ba.delay, ba.loss, ba.down, ba.to = l.Bytes, l.Delay, l.Loss, l.Down, int32(l.A)
+		n.linkB[i] = int32(l.B)
+	}
+	n.linkVer = n.g.Version()
 }
 
 // mix64 is the splitmix64 finalizer.
@@ -301,8 +346,7 @@ func (n *Network) Send(pkt Packet) {
 	f := c.getInflight()
 	f.pkt = pkt
 	f.path = path
-	f.i = 0
-	f.cur = pkt.From
+	f.cur = int32(pkt.From)
 	f.epoch = n.g.Epoch()
 	n.hop(f)
 }
@@ -330,40 +374,41 @@ func (n *Network) hop(f *inflight) {
 	c := &n.ctxs[sh]
 	if e := n.g.Epoch(); f.epoch != e {
 		f.epoch = e
-		f.path = n.rt.Path(f.cur, f.pkt.To)
+		f.path = n.rt.Path(int(f.cur), f.pkt.To)
 		f.i = 0
 		c.rerouted++
-		if f.path == nil && f.cur != f.pkt.To {
+		if f.path == nil && int(f.cur) != f.pkt.To {
 			c.linkDownDrops++
 			c.putInflight(f)
 			return
 		}
 	}
-	if f.i == len(f.path) {
+	if int(f.i) == len(f.path) {
 		n.deliver(c, f.pkt)
 		c.putInflight(f)
 		return
 	}
+	// Link state is re-copied only where no shard goroutine runs: here
+	// in serial runs and in a sharded run's global phase, and by
+	// runSharded after each global phase (the only place a sharded run
+	// mutates the graph).
+	if !n.parallel && n.linkVer != n.g.Version() {
+		n.syncLinks()
+	}
 	lid := f.path[f.i]
-	l := &n.g.Links[lid]
-	if l.Down {
+	dirIdx := 2 * int(lid)
+	if n.linkB[lid] == f.cur {
+		dirIdx++
+	}
+	ds := &n.dirs[dirIdx]
+	if ds.down {
 		// Invariant guard, not a normal path: every mutator that sets
 		// Down also bumps the route epoch, so the re-resolution above
-		// keeps current-epoch paths free of down links. This fires only
-		// if Link state was mutated directly (Links is exported) without
-		// going through the Graph mutators; dropping is the safe answer.
+		// keeps current-epoch paths free of down links.
 		c.linkDownDrops++
 		c.putInflight(f)
 		return
 	}
-	dir := 0
-	next := l.B
-	if f.cur == l.B {
-		dir = 1
-		next = l.A
-	}
-	dirIdx := 2*int(lid) + dir
-	ds := &n.dirs[dirIdx]
 
 	now := eng.Now()
 	start := now
@@ -381,7 +426,6 @@ func (n *Network) hop(f *inflight) {
 		if wait > limit/2 {
 			p := float64(wait-limit/2) / float64(limit-limit/2)
 			if p >= 1 || n.dirFloat(dirIdx, ds) < p {
-				ds.drops++
 				c.congestionDrops++
 				c.putInflight(f)
 				return
@@ -389,16 +433,14 @@ func (n *Network) hop(f *inflight) {
 		}
 	}
 	// Random loss is applied per traversal, before transmission.
-	if f.pkt.Kind == Data && l.Loss > 0 && n.dirFloat(dirIdx, ds) < l.Loss {
-		ds.lossDrops++
+	if f.pkt.Kind == Data && ds.loss > 0 && n.dirFloat(dirIdx, ds) < ds.loss {
 		c.randomLossDrops++
 		c.putInflight(f)
 		return
 	}
-	ser := sim.Duration(float64(f.pkt.Size) / l.Bytes * float64(sim.Second))
+	ser := sim.Duration(float64(f.pkt.Size) / ds.rate * float64(sim.Second))
 	ds.busyUntil = start + ser
 	ds.bytes += uint64(f.pkt.Size)
-	ds.packets++
 	if f.pkt.Trace {
 		if c.traceStress == nil {
 			c.traceStress = make(map[uint64]map[int32]int)
@@ -410,11 +452,12 @@ func (n *Network) hop(f *inflight) {
 		}
 		m[lid]++
 	}
-	arrive := ds.busyUntil + l.Delay
+	arrive := ds.busyUntil + ds.delay
+	next := ds.to
 	f.i++
 	f.cur = next
 	if n.plan == nil {
-		eng.ScheduleArg(arrive, n.hopFn, f)
+		eng.Post(arrive, &f.ev, n.hopFn)
 		return
 	}
 	tgt := n.plan.ShardOf[next]
@@ -425,7 +468,7 @@ func (n *Network) hop(f *inflight) {
 		c.out[tgt] = append(c.out[tgt], handoff{at: arrive, schedAt: now, f: f})
 		return
 	}
-	n.engineFor(tgt).ScheduleArg(arrive, n.hopFn, f)
+	n.engineFor(tgt).Post(arrive, &f.ev, n.hopFn)
 }
 
 func (n *Network) deliver(c *shardCtx, pkt Packet) {

@@ -411,9 +411,11 @@ func (n *Network) coordRound(active bool, end sim.Time, sense *uint32) sim.Time 
 //     protocol state, and send packets (pushed directly into shard
 //     heaps, since every worker is parked);
 //  2. the router applies any pending epoch invalidation so route
-//     caches are stable during the round, and the lookahead is
-//     recomputed if link state changed (graph mutations happen only in
-//     this phase, so it cannot change mid-round);
+//     caches are stable during the round, the link-direction records
+//     re-copy link state if its version moved, and the lookahead is
+//     recomputed if routes may have changed (graph mutations happen
+//     only in this phase, so none of this can change mid-round; shard
+//     hops never re-copy themselves);
 //  3. if every pending event lies beyond T, the loop fast-forwards to
 //     the earliest one (or stops, when none remain at or before
 //     until);
@@ -465,6 +467,9 @@ func (n *Network) runSharded(until sim.Time) {
 		}
 		n.eng.Run(T)
 		n.rt.Sync()
+		if n.linkVer != n.g.Version() {
+			n.syncLinks()
+		}
 		if e := n.g.Epoch(); e != lastEpoch {
 			lastEpoch = e
 			n.lookahead = n.plan.LookaheadNow(n.g)
@@ -625,7 +630,7 @@ func (n *Network) exchange() {
 		}
 		eng := n.engines[dst]
 		for _, e := range n.xq {
-			eng.ScheduleArg(e.h.at, n.hopFn, e.h.f)
+			eng.Post(e.h.at, &e.h.f.ev, n.hopFn)
 		}
 	}
 	n.xq = n.xq[:0]

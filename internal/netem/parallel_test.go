@@ -45,6 +45,16 @@ func (dl *deliveryLog) flatten() string {
 // transcript plus the final counters.
 func runTraffic(t *testing.T, shards int) (string, Stats) {
 	t.Helper()
+	dl, net := driveTraffic(t, shards, nil)
+	return dl.flatten(), net.Stats()
+}
+
+// driveTraffic runs runTraffic's traffic to 5 s of virtual time and
+// returns the delivery log and the drained network. dyn, if non-nil,
+// schedules extra global-engine events (churn, link dynamics) before
+// the run starts.
+func driveTraffic(t *testing.T, shards int, dyn func(eng *sim.Engine, net *Network, g *topology.Graph, dl *deliveryLog)) (*deliveryLog, *Network) {
+	t.Helper()
 	eng, net, g := testNet(t, 77, topology.PaperLoss)
 	if shards > 1 {
 		if got := net.EnableShards(shards); got < 2 {
@@ -71,8 +81,11 @@ func runTraffic(t *testing.T, shards int) (string, Stats) {
 			})
 		}
 	}
+	if dyn != nil {
+		dyn(eng, net, g, dl)
+	}
 	net.Run(5 * sim.Second)
-	return dl.flatten(), net.Stats()
+	return dl, net
 }
 
 // TestShardedTrafficMatchesSerial is the emulator-level determinism
@@ -109,8 +122,16 @@ func TestShardedTrafficMatchesSerial(t *testing.T) {
 // shard 1 = {t0, t1, s1, c1}, lookahead 5ms.
 func barrierTopo(t *testing.T) (*topology.Graph, int, int, int) {
 	t.Helper()
-	b := topology.NewBuilder()
 	const huge = 1e12 // Kbps; serialization of any packet rounds to 0ns
+	return lineTopo(t, huge)
+}
+
+// lineTopo builds barrierTopo's line with every link at kbps. Links are
+// numbered in line order: c0-s0, s0-t0 (the 2-shard cut), t0-t1,
+// t1-s1, s1-c1.
+func lineTopo(t *testing.T, kbps float64) (*topology.Graph, int, int, int) {
+	t.Helper()
+	b := topology.NewBuilder()
 	ms := func(d int) sim.Duration { return sim.Duration(d) * sim.Millisecond }
 	t0 := b.AddNode(topology.Transit, 0, 0)
 	t1 := b.AddNode(topology.Transit, 1, 0)
@@ -118,16 +139,15 @@ func barrierTopo(t *testing.T) (*topology.Graph, int, int, int) {
 	s1 := b.AddNode(topology.Stub, 1, 1)
 	c0 := b.AddNode(topology.Client, 0, 2)
 	c1 := b.AddNode(topology.Client, 1, 2)
-	b.AddLink(c0, s0, topology.ClientStub, huge, ms(7), 0)
-	cut := b.AddLink(s0, t0, topology.TransitStub, huge, ms(5), 0)
-	b.AddLink(t0, t1, topology.TransitTransit, huge, ms(2), 0)
-	b.AddLink(t1, s1, topology.TransitStub, huge, ms(3), 0)
-	b.AddLink(c1, s1, topology.ClientStub, huge, ms(1), 0)
+	b.AddLink(c0, s0, topology.ClientStub, kbps, ms(7), 0)
+	b.AddLink(s0, t0, topology.TransitStub, kbps, ms(5), 0)
+	b.AddLink(t0, t1, topology.TransitTransit, kbps, ms(2), 0)
+	b.AddLink(t1, s1, topology.TransitStub, kbps, ms(3), 0)
+	b.AddLink(c1, s1, topology.ClientStub, kbps, ms(1), 0)
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = cut
 	return g, c0, c1, t0
 }
 

@@ -24,10 +24,10 @@
 // by (time, sequence), stored as three parallel slices so the
 // sift-down child scan reads four contiguous int64 timestamps from a
 // single cache line — and migrate into the ring as the clock advances
-// into their window. Event bodies (the callback, argument, timer slot,
-// period) live in an arena of chunked slots that never move; they are
-// recycled through the arena's free list, so the steady-state cost of
-// an event remains zero heap allocations.
+// into their window. Event bodies (the callback and timer slot) live in
+// an arena of chunked slots that never move; they are recycled through
+// the arena's free list, so the steady-state cost of an event remains
+// zero heap allocations.
 //
 // None of this layout is observable: (time, sequence) is a strict
 // total order — sequence numbers are unique per engine — so the pop
@@ -44,17 +44,20 @@
 // joins the tail of the batch exactly as the serial contract requires.
 //
 // Cancellable timers are handled through a slot table with generation
-// counters: At/After/Every allocate a slot from a free list and return a
+// counters: At/After allocate a slot from a free list and return a
 // value-type Timer naming (slot, generation). Cancel and Stopped check
 // the generation, so stale handles are always safe no-ops. The hot
-// fire-and-forget paths (Schedule, ScheduleArg) skip the slot table
-// entirely; ScheduleArg additionally avoids per-event closures by
-// carrying a caller-owned argument to a reusable callback.
+// fire-and-forget path (Schedule) skips the slot table entirely.
 //
-// Periodic timers created with Every re-arm in place: the body is
-// reused and the engine re-pushes a fresh key with a new sequence
-// number, so a periodic series costs zero allocations per tick after
-// setup.
+// Post is the caller-owned variant: the caller embeds an Event in the
+// state the event carries (netem embeds one in every in-flight packet)
+// and the engine queues a pointer to it instead of taking a body from
+// its arena. The callback receives the Event back, so the state it
+// belongs to is reached without a closure, an interface box, or a
+// second cache line: firing the event touches memory the callback is
+// about to touch anyway. The engine never reads an owned body after
+// handing it to its callback, which may therefore recycle or re-post
+// it.
 package sim
 
 import (
@@ -84,8 +87,7 @@ func Seconds(s float64) Duration { return Duration(s * float64(Second)) }
 func (t Time) ToSeconds() float64 { return float64(t) / float64(Second) }
 
 // Timer is a handle for a scheduled event. Cancel prevents the callback
-// from running if it has not fired yet. For periodic timers created with
-// Every, Cancel stops the whole series. The zero Timer is valid: Cancel
+// from running if it has not fired yet. The zero Timer is valid: Cancel
 // is a no-op and Stopped reports true.
 type Timer struct {
 	e    *Engine
@@ -105,9 +107,9 @@ func (t Timer) Cancel() {
 	}
 }
 
-// Stopped reports whether the timer was cancelled or has fired and will
-// not fire again. A periodic timer reports stopped only after Cancel:
-// between ticks it is live.
+// Stopped reports whether the timer was cancelled or has fired. A timer
+// reports stopped from inside its own callback: it is firing and will
+// not fire again.
 func (t Timer) Stopped() bool {
 	if t.e == nil {
 		return true
@@ -119,15 +121,14 @@ func (t Timer) Stopped() bool {
 	return s.done || s.cancelled
 }
 
-// evBody is the non-ordering payload of one queued event, allocated
-// from the engine's arena and stationary for its queued lifetime.
-// Exactly one of fn and afn is set.
-type evBody struct {
-	fn     func()
-	afn    func(any)
-	arg    any
-	slot   int32    // timer slot index, or noSlot for fire-and-forget
-	period Duration // > 0: periodic, re-armed after each fire
+// Event is the non-ordering payload of one queued event: a body from
+// the engine's arena (Schedule, At, After) or one owned by the caller
+// (Post). Either way it stays put for its queued lifetime. Exactly one
+// of fire and fn is set. The zero Event is ready for Post.
+type Event struct {
+	fire func(*Event) // owned body: called with the body itself
+	fn   func()
+	slot int32 // timer slot index, or noSlot for fire-and-forget
 }
 
 const noSlot = int32(-1)
@@ -155,7 +156,7 @@ const (
 type ev struct {
 	at  Time
 	seq uint64
-	b   *evBody
+	b   *Event
 }
 
 // bucket holds the events of one absolute slot. Future buckets are
@@ -189,14 +190,14 @@ type Engine struct {
 	// here migrate into the ring as the window advances over them.
 	ofAt  []Time
 	ofSeq []uint64
-	ofB   []*evBody
+	ofB   []*Event
 
 	seq     uint64
 	stopped bool
 	seed    int64
 	fired   uint64
 
-	bodies arena.Arena[evBody]
+	bodies arena.Arena[Event]
 
 	slots []timerSlot
 	free  []int32 // free slot indices
@@ -254,7 +255,7 @@ func (e *Engine) RNG(id int64) *rand.Rand {
 // ---------------------------------------------------------------------
 
 // push enqueues b at time at, assigning the next sequence number.
-func (e *Engine) push(at Time, b *evBody) {
+func (e *Engine) push(at Time, b *Event) {
 	sq := e.seq
 	e.seq++
 	s := int64(at) >> slotShift
@@ -422,7 +423,7 @@ func (e *Engine) setNow(t Time) {
 // out, never back in — so the newcomer's seq is strictly greater than
 // every queued entry's and the sift-up comparison reduces to the
 // timestamp alone (a timestamp tie can never favor the newcomer).
-func (e *Engine) ofPush(at Time, sq uint64, b *evBody) {
+func (e *Engine) ofPush(at Time, sq uint64, b *Event) {
 	ats := append(e.ofAt, at)
 	sqs := append(e.ofSeq, sq)
 	bs := append(e.ofB, b)
@@ -440,9 +441,10 @@ func (e *Engine) ofPush(at Time, sq uint64, b *evBody) {
 }
 
 // ofPop removes and returns the minimum overflow entry. The stale body
-// pointer left past the new length of ofB is harmless: bodies live in
-// arena chunks either way, and Put zeroes their payload references.
-func (e *Engine) ofPop() (Time, uint64, *evBody) {
+// pointer left past the new length of ofB is harmless: at worst it
+// keeps an arena chunk or a caller's record reachable until the slot
+// is reused.
+func (e *Engine) ofPop() (Time, uint64, *Event) {
 	ats, sqs, bs := e.ofAt, e.ofSeq, e.ofB
 	mat, msq, mb := ats[0], sqs[0], bs[0]
 	n := len(ats) - 1
@@ -525,7 +527,7 @@ func (e *Engine) clamp(t Time) Time {
 }
 
 // newBody takes a zeroed body from the arena.
-func (e *Engine) newBody() *evBody { return e.bodies.Get() }
+func (e *Engine) newBody() *Event { return e.bodies.Get() }
 
 // At schedules fn to run at absolute time t and returns a cancellable
 // Timer. Callers that never cancel should prefer Schedule, which skips
@@ -544,19 +546,6 @@ func (e *Engine) After(d Duration, fn func()) Timer {
 	return e.At(e.now+d, fn)
 }
 
-// Every schedules fn to run every period, starting after the first
-// period elapses. The returned Timer cancels the whole series. The
-// series re-arms in place: no allocation per tick.
-func (e *Engine) Every(period Duration, fn func()) Timer {
-	slot, gen := e.allocSlot()
-	b := e.newBody()
-	b.fn = fn
-	b.slot = slot
-	b.period = period
-	e.push(e.clamp(e.now+period), b)
-	return Timer{e: e, slot: slot, gen: gen}
-}
-
 // Schedule runs fn at absolute time t with no cancellation handle.
 // This is the allocation-free fast path for fire-and-forget events.
 func (e *Engine) Schedule(t Time, fn func()) {
@@ -571,16 +560,15 @@ func (e *Engine) ScheduleAfter(d Duration, fn func()) {
 	e.Schedule(e.now+d, fn)
 }
 
-// ScheduleArg runs fn(arg) at absolute time t with no handle. Passing a
-// long-lived fn (e.g. a method value stored once) with a per-event arg
-// avoids allocating a closure per event; combined with caller-side arg
-// pooling the steady-state cost of an event is zero allocations.
-func (e *Engine) ScheduleArg(t Time, fn func(any), arg any) {
-	b := e.newBody()
-	b.afn = fn
-	b.arg = arg
-	b.slot = noSlot
-	e.push(e.clamp(t), b)
+// Post schedules the caller-owned event ev to fire fn(ev) at absolute
+// time t, with no handle. ev must not be pending already; once it has
+// fired it may be posted again, from its own callback included. Embed
+// the Event in the state the event carries and recover that state from
+// the pointer fn receives: a steady stream of owned events costs zero
+// allocations and no engine-side body at all.
+func (e *Engine) Post(t Time, ev *Event, fn func(*Event)) {
+	ev.fire = fn
+	e.push(e.clamp(t), ev)
 }
 
 // Run executes events until the queue drains, the clock passes until,
@@ -678,38 +666,27 @@ func (e *Engine) exec(limit Time, strict bool) {
 			b := bk.evs[bk.head].b
 			bk.head++
 			e.ringN--
+			if fire := b.fire; fire != nil {
+				// Owned: the callback may recycle or re-post b, so
+				// nothing here reads it afterwards.
+				e.fired++
+				fire(b)
+				continue
+			}
 			if b.slot != noSlot {
-				s := &e.slots[b.slot]
-				if s.cancelled {
+				if e.slots[b.slot].cancelled {
 					e.freeSlot(b.slot)
 					e.bodies.Put(b)
 					continue
 				}
-				if b.period <= 0 {
-					// One-shot: it is firing now, so the handle reports
-					// stopped from here on (matching historical behavior
-					// even for Stopped calls made during the callback).
-					e.freeSlot(b.slot)
-				}
+				// It is firing now, so the handle reports stopped from
+				// here on (matching historical behavior even for Stopped
+				// calls made during the callback).
+				e.freeSlot(b.slot)
 			}
 			e.fired++
-			if b.fn != nil {
-				b.fn()
-			} else {
-				b.afn(b.arg)
-			}
-			if b.period > 0 {
-				// Periodic: re-arm unless the callback cancelled the
-				// series. The body is reused; only a fresh key is pushed.
-				if e.slots[b.slot].cancelled {
-					e.freeSlot(b.slot)
-					e.bodies.Put(b)
-				} else {
-					e.push(e.now+b.period, b)
-				}
-			} else {
-				e.bodies.Put(b)
-			}
+			b.fn()
+			e.bodies.Put(b)
 		}
 	}
 }

@@ -63,22 +63,6 @@ func TestEngineAfterAndNow(t *testing.T) {
 	}
 }
 
-func TestEngineEvery(t *testing.T) {
-	e := NewEngine(1)
-	n := 0
-	var tick Timer
-	tick = e.Every(100*Millisecond, func() {
-		n++
-		if n == 5 {
-			tick.Cancel()
-		}
-	})
-	e.Run(10 * Second)
-	if n != 5 {
-		t.Fatalf("Every fired %d times, want 5", n)
-	}
-}
-
 func TestEngineRunUntilStopsAtBoundary(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
@@ -180,25 +164,30 @@ func TestEngineFiredCount(t *testing.T) {
 	}
 }
 
-// Regression: a live periodic timer must not report Stopped between
-// ticks. The old implementation cleared the underlying event's callback
-// during each fire, so Stopped flickered true mid-series.
-func TestEveryStoppedMidSeries(t *testing.T) {
+// A timer is live from At until it fires: a re-armed chain of one-shot
+// timers reports each pending handle as not Stopped between firings,
+// and a cancelled handle as Stopped at once.
+func TestTimerLiveUntilFired(t *testing.T) {
 	e := NewEngine(1)
 	var tick Timer
 	var mid []bool
-	tick = e.Every(100*Millisecond, func() {
-		mid = append(mid, tick.Stopped())
-	})
+	var arm func()
+	arm = func() {
+		tick = e.At(e.Now()+100*Millisecond, func() {
+			arm()
+			mid = append(mid, tick.Stopped())
+		})
+	}
+	arm()
 	e.At(450*Millisecond, func() {
 		if tick.Stopped() {
-			t.Error("live periodic timer reported Stopped between ticks")
+			t.Error("pending timer reported Stopped before it fired")
 		}
 	})
 	e.Run(500 * Millisecond)
 	for i, s := range mid {
 		if s {
-			t.Fatalf("tick %d observed Stopped()=true during a live series", i)
+			t.Fatalf("tick %d observed the re-armed timer Stopped", i)
 		}
 	}
 	if len(mid) != 5 {
@@ -206,26 +195,29 @@ func TestEveryStoppedMidSeries(t *testing.T) {
 	}
 	tick.Cancel()
 	if !tick.Stopped() {
-		t.Fatal("cancelled periodic timer not Stopped")
+		t.Fatal("cancelled timer not Stopped")
 	}
 }
 
-// Cancelling a periodic timer from inside its own callback must stop
-// the series immediately (no further re-arm).
-func TestEveryCancelDuringFire(t *testing.T) {
+// Cancelling a timer from a callback at the same instant stops it even
+// though it is already queued in the batch being dispatched, and a
+// timer cancelling itself while firing is a safe no-op.
+func TestCancelDuringFire(t *testing.T) {
 	e := NewEngine(1)
 	n := 0
-	var tick Timer
-	tick = e.Every(10*Millisecond, func() {
+	var first, second Timer
+	first = e.At(10*Millisecond, func() {
 		n++
-		tick.Cancel()
+		first.Cancel()
+		second.Cancel()
 	})
+	second = e.At(10*Millisecond, func() { n++ })
 	e.Run(Second)
 	if n != 1 {
-		t.Fatalf("series fired %d times after self-cancel, want 1", n)
+		t.Fatalf("%d callbacks fired, want 1 (the sibling was cancelled)", n)
 	}
-	if !tick.Stopped() {
-		t.Fatal("self-cancelled timer not Stopped")
+	if !first.Stopped() || !second.Stopped() {
+		t.Fatal("fired and cancelled timers must both report Stopped")
 	}
 }
 
@@ -271,13 +263,13 @@ func TestTimerStaleHandleAfterSlotReuse(t *testing.T) {
 	zero.Cancel() // must not panic
 }
 
-// Schedule and ScheduleArg interleave with At in strict (time, seq)
-// order.
-func TestScheduleAndScheduleArgOrdering(t *testing.T) {
+// Schedule, Post and At interleave in strict (time, seq) order.
+func TestScheduleAndPostOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
+	var ev Event
 	e.Schedule(5*Millisecond, func() { got = append(got, 0) })
-	e.ScheduleArg(5*Millisecond, func(a any) { got = append(got, a.(int)) }, 1)
+	e.Post(5*Millisecond, &ev, func(*Event) { got = append(got, 1) })
 	e.At(5*Millisecond, func() { got = append(got, 2) })
 	e.ScheduleAfter(5*Millisecond, func() { got = append(got, 3) })
 	e.Run(Second)
@@ -285,6 +277,54 @@ func TestScheduleAndScheduleArgOrdering(t *testing.T) {
 		if got[i] != i {
 			t.Fatalf("mixed scheduling not FIFO at same instant: %v", got)
 		}
+	}
+}
+
+// hopState mimics an emulator in-flight record: the owned Event is its
+// first field, and the callback recycles the whole record.
+type hopState struct {
+	ev   Event
+	hops int
+}
+
+// An owned event re-posted from its own callback keeps firing, at the
+// current instant too, and a callback that zeroes the record holding
+// the Event must be safe: the engine never reads the body after
+// handing it over.
+func TestPostRepostAndRecycle(t *testing.T) {
+	e := NewEngine(1)
+	var log []Time
+	var h hopState
+	var fire func(*Event)
+	fire = func(ev *Event) {
+		if ev != &h.ev {
+			t.Fatal("callback received a different body")
+		}
+		log = append(log, e.Now())
+		h.hops++
+		if h.hops == 4 {
+			h = hopState{} // recycle: the engine must not look at it again
+			return
+		}
+		d := Millisecond
+		if h.hops == 2 {
+			d = 0 // same-instant re-post joins the current batch
+		}
+		e.Post(e.Now()+d, ev, fire)
+	}
+	e.Post(Millisecond, &h.ev, fire)
+	e.Run(Second)
+	want := []Time{Millisecond, 2 * Millisecond, 2 * Millisecond, 3 * Millisecond}
+	if len(log) != len(want) {
+		t.Fatalf("fired at %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("fired at %v, want %v", log, want)
+		}
+	}
+	if e.Fired() != 4 || e.Pending() != 0 {
+		t.Fatalf("Fired=%d Pending=%d, want 4/0", e.Fired(), e.Pending())
 	}
 }
 
@@ -299,7 +339,13 @@ func TestEngineGoldenDeterminism(t *testing.T) {
 			d := Duration(rng.Int63n(int64(Second)))
 			e.Schedule(e.Now()+d, func() { sum += int64(e.Now()) })
 		}
-		e.Every(33*Millisecond, func() { sum++ })
+		var tick Event
+		var fire func(*Event)
+		fire = func(ev *Event) {
+			sum++
+			e.Post(e.Now()+33*Millisecond, ev, fire)
+		}
+		e.Post(33*Millisecond, &tick, fire)
 		end := e.Run(2 * Second)
 		return e.Fired(), end, sum
 	}
@@ -332,21 +378,27 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	e.Run(1 << 62)
 }
 
-func BenchmarkEngineScheduleArg(b *testing.B) {
+func BenchmarkEnginePost(b *testing.B) {
 	e := NewEngine(1)
-	var sink int
-	fn := func(a any) { sink += a.(int) }
-	arg := any(1) // pre-boxed: steady-state events allocate nothing
+	// Owned bodies, recycled after firing: steady-state posts touch no
+	// engine-side body and allocate nothing.
+	bodies := make([]Event, 1024)
+	free := make([]*Event, 0, len(bodies))
+	for i := range bodies {
+		free = append(free, &bodies[i])
+	}
+	fn := func(ev *Event) { free = append(free, ev) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.ScheduleArg(e.Now()+Time(i%1000)*Microsecond, fn, arg)
-		if e.Pending() >= 1024 {
+		ev := free[len(free)-1]
+		free = free[:len(free)-1]
+		e.Post(e.Now()+Time(i%1000)*Microsecond, ev, fn)
+		if len(free) == 0 {
 			e.Run(e.Now() + Second)
 		}
 	}
 	e.Run(1 << 62)
-	_ = sink
 }
 
 func BenchmarkEngineAtTimer(b *testing.B) {
@@ -361,19 +413,6 @@ func BenchmarkEngineAtTimer(b *testing.B) {
 		}
 	}
 	e.Run(1 << 62)
-}
-
-func BenchmarkEngineEvery(b *testing.B) {
-	e := NewEngine(1)
-	n := 0
-	e.Every(Millisecond, func() { n++ })
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run(Time(b.N) * Millisecond)
-	b.StopTimer()
-	if n < b.N {
-		b.Fatalf("fired %d ticks, want >= %d", n, b.N)
-	}
 }
 
 // TestCalendarHorizonOrdering schedules events across both sides of

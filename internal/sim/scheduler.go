@@ -19,10 +19,9 @@ type Scheduler interface {
 	RNG(id int64) *rand.Rand
 	At(t Time, fn func()) Timer
 	After(d Duration, fn func()) Timer
-	Every(period Duration, fn func()) Timer
 	Schedule(t Time, fn func())
 	ScheduleAfter(d Duration, fn func())
-	ScheduleArg(t Time, fn func(any), arg any)
+	Post(t Time, ev *Event, fn func(*Event))
 }
 
 var _ Scheduler = (*Engine)(nil)

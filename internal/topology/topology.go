@@ -196,13 +196,21 @@ type halfEdge struct {
 // scenarios can change network conditions mid-run. Every mutation that
 // can alter shortest-path routes advances the route epoch; consumers
 // (Router, netem) compare epochs to invalidate their caches lazily.
+// Every mutation of link state, route-affecting or not, advances the
+// link-state version, which netem compares to refresh its copies.
 type Graph struct {
-	Nodes   []Node
+	Nodes []Node
+	// Links is read-only once the graph is built: a link's fields
+	// change only through the mutators below, which advance Version
+	// (and Epoch, when routes may change). Consumers copy link state
+	// and trust those counters to tell them when the copy went stale,
+	// so a direct write here is invisible to them.
 	Links   []Link
 	Clients []int // IDs of client nodes, the overlay attachment points
 	adj     [][]halfEdge
 
 	epoch        uint64  // route epoch; bumped by route-affecting mutations
+	version      uint64  // link-state version; bumped by every mutation
 	partitionCut []int32 // links failed by Partition, restored by Heal
 }
 
@@ -466,16 +474,24 @@ func (g *Graph) LinkClassCounts() map[LinkClass]int {
 // ---------------------------------------------------------------------
 // Runtime network dynamics.
 //
-// The methods below mutate per-link state mid-run. Mutations that can
-// change shortest-path routes (latency, link up/down) advance the route
-// epoch so Router and netem caches invalidate lazily; bandwidth and
-// loss changes take effect immediately because the emulator reads link
-// state live on every traversal.
+// The methods below mutate per-link state mid-run. Every one that
+// changes a link advances the link-state version; the emulator keeps
+// its own per-direction copies of the link fields a hop reads and
+// re-copies them when the version moves, so a change takes effect for
+// the first packet serialized after it. Mutations that can also change
+// shortest-path routes (latency, link up/down) additionally advance
+// the route epoch, so Router and netem route caches invalidate lazily.
 // ---------------------------------------------------------------------
 
 // Epoch returns the current route epoch. It advances whenever a
 // mutation may have changed shortest-path routes.
 func (g *Graph) Epoch() uint64 { return g.epoch }
+
+// Version returns the link-state version. It advances whenever a
+// mutator changes any link's bandwidth, latency, loss, or up/down
+// state, so a copy of link state taken at version v is current exactly
+// while Version() == v.
+func (g *Graph) Version() uint64 { return g.version }
 
 // FindLink returns the ID of a link between nodes a and b, or -1 if no
 // such link exists. If parallel links exist, the lowest ID wins.
@@ -508,6 +524,7 @@ func (g *Graph) SetBandwidth(id int, kbps float64) {
 		return
 	}
 	g.Links[id].Bytes = kbps * 1000 / 8
+	g.version++
 }
 
 // ScaleBandwidth multiplies the capacity of link id by factor.
@@ -517,6 +534,7 @@ func (g *Graph) ScaleBandwidth(id int, factor float64) {
 		return
 	}
 	g.Links[id].Bytes *= factor
+	g.version++
 }
 
 // SetLatency changes the propagation delay of link id. Routing is
@@ -527,6 +545,7 @@ func (g *Graph) SetLatency(id int, d sim.Duration) {
 	}
 	g.Links[id].Delay = d
 	g.epoch++
+	g.version++
 }
 
 // SetLoss changes the per-traversal random loss probability of link id.
@@ -538,6 +557,7 @@ func (g *Graph) SetLoss(id int, loss float64) {
 		loss = 1
 	}
 	g.Links[id].Loss = loss
+	g.version++
 }
 
 // dropFromCut removes every occurrence of link id from the partition
@@ -565,6 +585,7 @@ func (g *Graph) FailLink(id int) {
 	}
 	g.Links[id].Down = true
 	g.epoch++
+	g.version++
 }
 
 // RestoreLink brings a failed link back up, whether it went down via
@@ -576,6 +597,7 @@ func (g *Graph) RestoreLink(id int) {
 	}
 	g.Links[id].Down = false
 	g.epoch++
+	g.version++
 }
 
 // Partition fails every up link with exactly one endpoint in the node
@@ -600,6 +622,7 @@ func (g *Graph) Partition(nodes []int) int {
 	}
 	if cut > 0 {
 		g.epoch++
+		g.version++
 	}
 	return cut
 }
@@ -615,4 +638,5 @@ func (g *Graph) Heal() {
 	}
 	g.partitionCut = g.partitionCut[:0]
 	g.epoch++
+	g.version++
 }
